@@ -191,6 +191,7 @@ let bench_incr_spf =
   let iws = I.workspace () in
   let st = I.create ~n:1000 ~root:0 in
   I.full iws st table;
+  (* Warm both views so the timed repairs are not charged their build. *)
   ignore (T.csr table ~n:1000);
   ignore (T.csr_in table ~n:1000);
   let l = List.hd (Mdr_topology.Graph.links topo) in
@@ -203,6 +204,29 @@ let bench_incr_spf =
          ignore
            (I.update iws st table
               ~changes:[ { T.head = l.src; tail = l.dst; cost } ])))
+
+let bench_view_merge =
+  (* The per-LSU view cost of a neighbor table: one tree-edge move (a
+     remove plus a set of a new edge) on a warm 1000-node tree, then a
+     read of both views, which merges the move into them. *)
+  let module T = Mdr_routing.Topo_table in
+  let n = 1000 in
+  let table = T.create () in
+  for v = 1 to n - 1 do
+    T.set table ~head:((v - 1) / 2) ~tail:v ~cost:1.0
+  done;
+  ignore (T.csr table ~n);
+  ignore (T.csr_in table ~n);
+  let v = n - 1 in
+  let parents = [| (v - 1) / 2; 1 |] in
+  let at = ref 0 in
+  Test.make ~name:"topo_table: 1000-node tree-edge move + view read"
+    (Staged.stage (fun () ->
+         T.remove table ~head:parents.(!at) ~tail:v;
+         at := 1 - !at;
+         T.set table ~head:parents.(!at) ~tail:v ~cost:1.0;
+         ignore (T.csr table ~n);
+         ignore (T.csr_in table ~n)))
 
 let bench_estimator =
   Test.make ~name:"estimator: busy-period sample"
@@ -226,6 +250,7 @@ let micro_benchmarks () =
       bench_ah_step;
       bench_packet_sim;
       bench_incr_spf;
+      bench_view_merge;
       bench_estimator;
     ]
   in

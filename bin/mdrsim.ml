@@ -834,9 +834,8 @@ let scale_cmd =
     let iws = Incr_spf.workspace () in
     let st = Incr_spf.create ~n ~root:0 in
     Incr_spf.full iws st table;
-    (* Warm both CSR views: the router builds them once per topology
-       and cost-only changes patch them in place, so view construction
-       is setup cost, not per-LSU cost. *)
+    (* Warm both CSR views, so the first repair is not charged the
+       one-time build; later edits patch or merge into them in place. *)
     ignore (Topo_table.csr table ~n);
     ignore (Topo_table.csr_in table ~n);
     let dws = Dijkstra.workspace () in

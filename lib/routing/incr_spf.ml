@@ -291,10 +291,12 @@ let sort_vec a len =
     gap := g / 3
   done
 
-let scan_zero (view : Topo_table.csr) =
+(* Only [0, row.(n)) holds edges: cells past it are the view's spare
+   capacity and may carry stale costs. *)
+let scan_zero (view : Topo_table.csr) ~n =
   let zero = ref false in
   let cost = view.Topo_table.cost in
-  for i = 0 to Array.length cost - 1 do
+  for i = 0 to view.Topo_table.row.(n) - 1 do
     if Float.equal cost.(i) 0.0 then zero := true
   done;
   !zero
@@ -302,7 +304,7 @@ let scan_zero (view : Topo_table.csr) =
 let full ws st table =
   Dijkstra.on_table_into ws.dj ~n:st.n ~root:st.root ~dist:st.dist ~parent:st.parent
     table;
-  st.has_zero <- scan_zero (Topo_table.csr table ~n:st.n);
+  st.has_zero <- scan_zero (Topo_table.csr table ~n:st.n) ~n:st.n;
   st.version <- Topo_table.version table;
   ws.stats.full_runs <- ws.stats.full_runs + 1
 

@@ -32,8 +32,8 @@ type t = {
       (* the MTU's merged topology (steps 2-5), kept across events so a
          small LSU only rewrites the rows whose preferred source moved *)
   mutable merged_valid : bool;
-      (* false when continuity was lost (link events, resets, fallback
-         recomputes) — the next MTU rebuilds [merged] from scratch *)
+      (* false when continuity was lost (link up/down, resets, copies)
+         — the next MTU rebuilds [merged] from scratch *)
   dirty : (int, unit) Hashtbl.t;
       (* destinations whose merged row must be re-derived at the next
          MTU: nodes whose D_k changed plus heads of LSU entries;
@@ -173,11 +173,21 @@ let nbr_state t ~nbr =
     Hashtbl.replace t.nbr_spf nbr st;
     st
 
+(* After an event that may move any destination's preferred neighbor:
+   re-derive every merged row at the next MTU. The merged topology
+   itself stays continuous, so the MTU still repairs it in place. *)
+let dirty_all t =
+  for j = 0 to t.n - 1 do
+    Hashtbl.replace t.dirty j ()
+  done
+
 (* [changes]: Some (pre_version, entries) when the caller mutated the
    neighbor table from [pre_version] by exactly [entries] — the repair
-   contract. Anything else (resets, link events, version gaps) takes
-   the full recompute, which also invalidates the merged topology
-   since the incremental MTU can no longer tell what moved. *)
+   contract. A repair that falls back to a full run can have moved any
+   D_jk, so every merged row goes dirty. Anything else (resets, link
+   events, version gaps) takes the full recompute, which also
+   invalidates the merged topology since the incremental MTU can no
+   longer tell what moved. *)
 let refresh_neighbor_distances ?changes t ~nbr =
   let table = nbr_table t ~nbr in
   let st = nbr_state t ~nbr in
@@ -190,7 +200,7 @@ let refresh_neighbor_distances ?changes t ~nbr =
             Hashtbl.replace t.dirty j ())
       with
       | Incr_spf.Repaired _ -> ()
-      | Incr_spf.Recomputed -> t.merged_valid <- false)
+      | Incr_spf.Recomputed -> dirty_all t)
     | _ ->
       Incr_spf.full t.iws st table;
       t.merged_valid <- false
@@ -207,12 +217,15 @@ let apply_lsu t ~from_ ~reset entries =
     let pre = Topo_table.version table in
     (* Record each touched edge's original cost so the net changes —
        and only the net changes — drive the repair. *)
+    let seen = Hashtbl.create 16 in
     let orig = ref [] in
     List.iter
       (fun (e : Topo_table.entry) ->
         let key = (e.head, e.tail) in
-        if not (List.mem_assoc key !orig) then
-          orig := (key, Topo_table.cost table ~head:e.head ~tail:e.tail) :: !orig;
+        if not (Hashtbl.mem seen key) then begin
+          Hashtbl.replace seen key ();
+          orig := (key, Topo_table.cost table ~head:e.head ~tail:e.tail) :: !orig
+        end;
         Topo_table.apply_entry table e)
       entries;
     let changes =
@@ -618,9 +631,8 @@ let handle_link_cost t ~nbr ~cost =
   if not (Hashtbl.mem t.adjacent nbr) then []
   else begin
     Hashtbl.replace t.adjacent nbr cost;
-    (* l_k shifts the preferred distance of *every* destination via k,
-       so the dirty-row bookkeeping cannot bound what moved. *)
-    t.merged_valid <- false;
+    (* l_k shifts the preferred distance of *every* destination via k. *)
+    dirty_all t;
     process t ~ack_to:None ~ack_received:None
   end
 

@@ -1,5 +1,9 @@
 let magic = "MDRS"
-let version = 2
+(* The payload embeds [Marshal]ed routers, so any change to the router
+   record layout must bump this: an older blob then reads as corrupt
+   (restore falls back to genesis + journal) instead of unmarshalling
+   into the wrong shape. v3: topology tables carry a view-merge log. *)
+let version = 3
 
 let write_all fd s =
   let len = String.length s in

@@ -64,6 +64,113 @@ let random_delta rng table ~n =
         [ { Topo_table.head = h; tail = tl; cost = c } ]
     end
 
+(* --- Topo_table view maintenance ---------------------------------- *)
+
+(* The view a from-scratch build of [entries] gives: forward rows by
+   head (any tail), or transpose rows by tail (both ends in range). *)
+let fresh_view ~transpose table ~n =
+  let key (e : Topo_table.entry) = if transpose then e.tail else e.head
+  and other (e : Topo_table.entry) = if transpose then e.head else e.tail in
+  let es =
+    List.filter
+      (fun (e : Topo_table.entry) ->
+        e.head >= 0 && e.head < n && ((not transpose) || (e.tail >= 0 && e.tail < n)))
+      (Topo_table.entries table)
+    |> List.sort (fun a b ->
+           match Int.compare (key a) (key b) with
+           | 0 -> Int.compare (other a) (other b)
+           | c -> c)
+  in
+  let row = Array.make (n + 1) 0 in
+  List.iter (fun e -> row.(key e + 1) <- row.(key e + 1) + 1) es;
+  for i = 1 to n do
+    row.(i) <- row.(i) + row.(i - 1)
+  done;
+  ( row,
+    Array.of_list (List.map other es),
+    Array.of_list (List.map (fun (e : Topo_table.entry) -> e.cost) es) )
+
+let view_mismatch ~transpose table ~n =
+  let v =
+    if transpose then Topo_table.csr_in table ~n else Topo_table.csr table ~n
+  in
+  let row, dst, cost = fresh_view ~transpose table ~n in
+  let m = row.(n) in
+  if v.Topo_table.row <> row then Some "row"
+  else if Array.length v.Topo_table.dst < m || Array.length v.Topo_table.cost < m then
+    Some "capacity below row.(n)"
+  else if Array.sub v.Topo_table.dst 0 m <> dst then Some "dst"
+  else if
+    not (Array.for_all2 Float.equal (Array.sub v.Topo_table.cost 0 m) cost)
+  then Some "cost"
+  else None
+
+(* Random edit batches on both tables of a copy pair, with reads of
+   either view in between; ends and costs include out-of-range nodes,
+   zero costs and repeated edits of one edge. *)
+let prop_views_match_fresh_build =
+  QCheck.Test.make ~name:"topo_table: merged CSR views == fresh build" ~count:150
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let n = 2 + Rng.int rng ~bound:12 in
+      let node () = Rng.int rng ~bound:(n + 4) - 2 in
+      let cost () = if Rng.int rng ~bound:8 = 0 then 0.0 else dyadic rng in
+      let tables = [| random_table rng ~n; Topo_table.create () |] in
+      tables.(1) <- Topo_table.copy tables.(0);
+      let ws = Incr_spf.workspace () in
+      let last = ref (0, 1) in
+      for step = 1 to 80 do
+        for _ = 1 to Rng.int rng ~bound:7 do
+          let t = tables.(Rng.int rng ~bound:2) in
+          let h, tl =
+            if Rng.int rng ~bound:3 = 0 then !last
+            else begin
+              let h = node () and tl = node () in
+              if h = tl then (h, h + 1) else (h, tl)
+            end
+          in
+          last := (h, tl);
+          match Rng.int rng ~bound:20 with
+          | 0 -> Topo_table.clear t
+          | 1 ->
+            let i = Rng.int rng ~bound:2 in
+            tables.(i) <- Topo_table.copy tables.(1 - i)
+          | 2 | 3 | 4 | 5 -> Topo_table.remove t ~head:h ~tail:tl
+          | 6 | 7 ->
+            let cost = if Rng.int rng ~bound:2 = 0 then infinity else cost () in
+            Topo_table.apply_entry t { Topo_table.head = h; tail = tl; cost }
+          | _ -> Topo_table.set t ~head:h ~tail:tl ~cost:(cost ())
+        done;
+        let i = Rng.int rng ~bound:2 in
+        let t = tables.(i) in
+        let reads =
+          match Rng.int rng ~bound:3 with
+          | 0 -> [ false ]
+          | 1 -> [ true ]
+          | _ -> [ false; true ]
+        in
+        List.iter
+          (fun transpose ->
+            match view_mismatch ~transpose t ~n with
+            | Some what ->
+              QCheck.Test.fail_reportf "seed %d step %d table %d %s view: %s differs" seed
+                step i
+                (if transpose then "transpose" else "forward")
+                what
+            | None -> ())
+          reads;
+        (* The zero-cost scan must see exactly the view's live cells. *)
+        let st = Incr_spf.create ~n ~root:0 in
+        Incr_spf.full ws st t;
+        let _, _, cost = fresh_view ~transpose:false t ~n in
+        let expect = Array.exists (Float.equal 0.0) cost in
+        if st.Incr_spf.has_zero <> expect then
+          QCheck.Test.fail_reportf "seed %d step %d: zero scan %b, fresh view %b" seed
+            step st.Incr_spf.has_zero expect
+      done;
+      true)
+
 let first_hop parent ~root v =
   let rec walk v = if parent.(v) = root || parent.(v) < 0 then v else walk parent.(v) in
   if v = root || parent.(v) < 0 then -1 else walk v
@@ -411,6 +518,64 @@ let test_syncnet_converges_to_shortest_paths () =
   let _, repairs, _ = Syncnet.spf_totals net in
   check "repairs engaged" true (repairs > 0)
 
+(* The router-level oracle for in-place merged-table repair at moderate
+   n: BA-60 with dyadic costs, then 40 single-link cost redraws over
+   the whole grid (never to the current cost), each pumped to
+   quiescence. Full and Incremental SPF must agree on every router's
+   fingerprint and on the message count after every change. *)
+let test_syncnet_full_vs_incremental_redraws () =
+  let rng = Rng.substream ~seed:12 ~index:0 in
+  let topo = Generators.barabasi_albert ~rng ~n:60 ~m:2 () in
+  let draw () = 0.25 *. float_of_int (1 + Rng.int rng ~bound:32) in
+  let costs = Hashtbl.create 256 in
+  List.iter
+    (fun (l : Graph.link) -> Hashtbl.replace costs (l.src, l.dst) (draw ()))
+    (Graph.links topo);
+  let links = Array.of_list (Graph.links topo) in
+  Rng.shuffle rng links;
+  let changes =
+    List.init 40 (fun i ->
+        let (l : Graph.link) = links.(i) in
+        let cur = Hashtbl.find costs (l.src, l.dst) in
+        let c = ref (draw ()) in
+        while Float.equal !c cur do
+          c := draw ()
+        done;
+        (l.src, l.dst, !c))
+  in
+  let cost (l : Graph.link) = Hashtbl.find costs (l.src, l.dst) in
+  let full = Syncnet.create ~spf:Router.Full ~topo ~cost () in
+  let incr = Syncnet.create ~spf:Router.Incremental ~topo ~cost () in
+  let agree what =
+    check (what ^ ": both drain") true (Syncnet.run full && Syncnet.run incr);
+    check_int (what ^ ": messages delivered")
+      (Syncnet.messages_delivered full)
+      (Syncnet.messages_delivered incr);
+    for i = 0 to Syncnet.node_count full - 1 do
+      if
+        not
+          (String.equal
+             (Router.fingerprint (Syncnet.router full i))
+             (Router.fingerprint (Syncnet.router incr i)))
+      then Alcotest.failf "%s: router %d fingerprints differ" what i
+    done;
+    let table = reference_table topo ~cost in
+    check (what ^ ": exact distances") true
+      (Syncnet.check_distances full table && Syncnet.check_distances incr table)
+  in
+  agree "cold start";
+  List.iteri
+    (fun i (src, dst, c) ->
+      Hashtbl.replace costs (src, dst) c;
+      Syncnet.change_link_cost full ~src ~dst ~cost:c;
+      Syncnet.change_link_cost incr ~src ~dst ~cost:c;
+      agree (Printf.sprintf "change %d" (i + 1)))
+    changes;
+  let _, full_repairs, _ = Syncnet.spf_totals full in
+  let _, repairs, _ = Syncnet.spf_totals incr in
+  check_int "Full mode never repairs" 0 full_repairs;
+  check "Incremental mode repairs" true (repairs > 0)
+
 let suite =
   [
     Alcotest.test_case "incr_spf: empty changes noop" `Quick test_empty_changes_noop;
@@ -428,6 +593,9 @@ let suite =
       test_router_incremental_repairs_happen;
     Alcotest.test_case "syncnet: converges to exact shortest paths" `Quick
       test_syncnet_converges_to_shortest_paths;
+    Alcotest.test_case "syncnet: Full == Incremental over BA-60 redraws" `Quick
+      test_syncnet_full_vs_incremental_redraws;
+    QCheck_alcotest.to_alcotest prop_views_match_fresh_build;
     QCheck_alcotest.to_alcotest prop_incremental_equals_full;
     QCheck_alcotest.to_alcotest prop_router_full_incremental_equal;
   ]
