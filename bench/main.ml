@@ -240,6 +240,45 @@ let bench_estimator =
          done;
          ignore (Mdr_costs.Estimator.sample e ~now:1.0)))
 
+let bench_eventsim =
+  (* The engine alone at the queue depth of a CAIRN packet run (about
+     170 events): one schedule and one step per run, so a run is one
+     event. Delays are drawn up front so the row times the heap, not
+     the RNG. *)
+  let module Engine = Mdr_eventsim.Engine in
+  let rng = Mdr_util.Rng.create ~seed:1 in
+  let delays = Array.init 4096 (fun _ -> Mdr_util.Rng.exponential rng ~rate:1.0) in
+  let next = ref 0 in
+  let e = Engine.create () in
+  let schedule () =
+    next := (!next + 1) land 4095;
+    ignore (Engine.schedule e ~delay:delays.(!next) ignore)
+  in
+  for _ = 1 to 170 do
+    schedule ()
+  done;
+  Test.make ~name:"eventsim: schedule+step at depth 170"
+    (Staged.stage (fun () ->
+         schedule ();
+         ignore (Engine.step e)))
+
+(* Bechamel's own minor-allocation measure reads [Gc.quick_stat], which
+   on OCaml 5.1 only moves at minor collections; [Gc.minor_words] is
+   exact. *)
+module Minor_words = struct
+  type witness = unit
+
+  let load () = ()
+  let unload () = ()
+  let make () = ()
+  let get () = Gc.minor_words ()
+  let label () = "minor-words"
+  let unit () = "words"
+end
+
+let minor_words =
+  Measure.instance (module Minor_words) (Measure.register (module Minor_words))
+
 let micro_benchmarks () =
   let tests =
     [
@@ -252,41 +291,41 @@ let micro_benchmarks () =
       bench_incr_spf;
       bench_view_merge;
       bench_estimator;
+      bench_eventsim;
     ]
   in
   let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 1.0) ~kde:None () in
-  let instance = Instance.monotonic_clock in
-  let results = Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"mdr" tests) in
+  let grouped = Test.make_grouped ~name:"mdr" tests in
+  let clock = Instance.monotonic_clock and words = minor_words in
+  let results = Benchmark.all cfg [ clock; words ] grouped in
   let ols =
     Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
   in
-  let analyzed = Analyze.all ols instance results in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let per_run =
-        match Analyze.OLS.estimates ols_result with
-        | Some (t :: _) -> t
-        | Some [] | None -> Float.nan
-      in
-      rows := (name, per_run) :: !rows)
-    analyzed;
-  let rows = List.sort compare !rows in
-  print_endline "### micro-benchmarks (Bechamel, monotonic clock)";
+  let per_run instance =
+    let analyzed = Analyze.all ols instance results in
+    fun name ->
+      match Option.map Analyze.OLS.estimates (Hashtbl.find_opt analyzed name) with
+      | Some (Some (t :: _)) -> t
+      | Some (Some [] | None) | None -> Float.nan
+  in
+  let ns_of = per_run clock and words_of = per_run words in
+  let names = List.sort compare (List.map Test.Elt.name (Test.elements grouped)) in
+  print_endline "### micro-benchmarks (Bechamel: monotonic clock, minor words)";
   print_endline
     (Mdr_util.Tab.render
-       ~header:[ "benchmark"; "time per run" ]
+       ~header:[ "benchmark"; "time per run"; "minor words per run" ]
        (List.map
-          (fun (name, ns) ->
-            let cell =
+          (fun name ->
+            let ns = ns_of name and w = words_of name in
+            let time =
               if Float.is_nan ns then "n/a"
               else if ns > 1.0e9 then Printf.sprintf "%.2f s" (ns /. 1.0e9)
               else if ns > 1.0e6 then Printf.sprintf "%.2f ms" (ns /. 1.0e6)
               else if ns > 1.0e3 then Printf.sprintf "%.2f us" (ns /. 1.0e3)
               else Printf.sprintf "%.0f ns" ns
             in
-            [ name; cell ])
-          rows))
+            [ name; time; (if Float.is_nan w then "n/a" else Printf.sprintf "%.1f" w) ])
+          names))
 
 let () =
   print_endline "=== Reproduction benches: A Simple Approximation to Minimum-Delay Routing ===";

@@ -1,9 +1,10 @@
 (** Discrete-event simulation engine.
 
     A single monotonic clock and a priority queue of callbacks. Events
-    scheduled for the same instant fire in scheduling order, which
-    keeps runs deterministic. Handlers may schedule further events and
-    cancel pending ones. *)
+    fire in ascending (time, scheduling order), so same-instant events
+    fire first-scheduled first, whatever the interleaving of schedules,
+    cancels and steps; that keeps runs deterministic. Handlers may
+    schedule further events and cancel pending ones. *)
 
 type t
 
@@ -19,13 +20,16 @@ val schedule : t -> delay:float -> (unit -> unit) -> event_id
     non-negative. *)
 
 val schedule_at : t -> time:float -> (unit -> unit) -> event_id
-(** Run the callback at absolute [time >= now]. *)
+(** Run the callback at absolute [time >= now]; [time] must not be
+    nan. *)
 
 val cancel : t -> event_id -> unit
-(** Cancelling an already-fired or cancelled event is a no-op. *)
+(** Removes a pending event; cancelling an already-fired or cancelled
+    event is a no-op. Costs O(pending): meant for occasional timers,
+    not per-packet events. *)
 
 val pending : t -> int
-(** Number of not-yet-fired, not-cancelled events. *)
+(** Number of not-yet-fired, not-cancelled events, exactly. *)
 
 val run : ?until:float -> t -> unit
 (** Process events in time order. With [until], stops once the clock

@@ -121,3 +121,6 @@ type result = {
 val run :
   ?config:config -> ?events:event list -> Mdr_topology.Graph.t ->
   flow_spec list -> result
+(** @raise Invalid_argument unless [0 < t_s <= t_l] and
+    [timeline_bucket > 0], or when a flow's source or destination is
+    not a node of the topology. *)

@@ -1,6 +1,7 @@
 (* Tests for the packet-level simulator: M/M/1 ground truth, traffic
    generator statistics, conservation (no loss), loop-freedom during
-   full-system runs, and the MP-vs-SP ordering under load. *)
+   full-system runs, the MP-vs-SP ordering under load, and golden
+   digests that pin every reported number bit for bit. *)
 
 module Graph = Mdr_topology.Graph
 module Sim = Mdr_netsim.Sim
@@ -159,7 +160,10 @@ let test_config_validation () =
             ~config:{ Sim.default_config with t_s = 5.0; t_l = 1.0 }
             topo []);
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  Alcotest.check_raises "unknown destination"
+    (Invalid_argument "Sim.run: flow endpoint out of range") (fun () ->
+      ignore (Sim.run topo [ { Sim.src = 0; dst = 2; rate_bits = 1.0e6; burst = None } ]))
 
 let test_finite_buffers_drop_under_overload () =
   (* 12 Mb/s into a 10 Mb/s link with a 32-packet buffer: tail drops
@@ -292,6 +296,140 @@ let test_link_failure_and_restore () =
   check "delay spikes during outage" true (during > after);
   check "loop free" true (r.loop_free_violations = 0)
 
+(* --- Golden byte-identity ------------------------------------------- *)
+
+(* Every number a run reports, printed exactly (hex floats) and hashed.
+   A change in event order, in RNG draws or in float summation order
+   changes the digest. *)
+let result_digest (r : Sim.result) =
+  let b = Buffer.create 4096 in
+  let add fmt = Printf.bprintf b fmt in
+  List.iter
+    (fun (f : Sim.flow_stat) ->
+      add "flow %d %d %h %h %h\n" f.delivered f.dropped f.mean_delay f.p95_delay
+        f.mean_hops)
+    r.flows;
+  add "totals %d %d %h %d %d %h\n" r.total_delivered r.total_dropped r.avg_delay
+    r.control_messages r.loop_free_violations r.max_mean_queue;
+  List.iter
+    (fun (l : Sim.link_stat) ->
+      add "link %d %d %h %h %d\n" l.src l.dst l.utilization l.mean_queue l.packets)
+    r.links;
+  List.iter
+    (fun (e : Sim.epoch_stat) ->
+      add "epoch %h %h %h %d %d\n" e.from_ e.until_ e.mean_delay e.delivered e.dropped)
+    r.epochs;
+  List.iter (fun (t, d, c) -> add "bucket %h %h %d\n" t d c) r.delay_timeline;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let diamond () =
+  let g = Graph.create ~names:[| "s"; "a"; "b"; "d" |] in
+  List.iter
+    (fun (x, y) -> Graph.add_duplex g x y ~capacity:10.0e6 ~prop_delay:0.001)
+    [ ("s", "a"); ("a", "d"); ("s", "b"); ("b", "d") ];
+  g
+
+let net1_flows ?burst rate_bits topo =
+  List.map
+    (fun (src, dst) -> { Sim.src; dst; rate_bits; burst })
+    (Mdr_topology.Net1.flow_pairs topo)
+
+let golden_config =
+  { Sim.default_config with sim_time = 12.0; warmup = 2.0; t_l = 4.0; t_s = 1.0; seed = 5 }
+
+type golden_case = {
+  name : string;
+  config : Sim.config;
+  events : Sim.event list;
+  topo : unit -> Graph.t;
+  flows : Graph.t -> Sim.flow_spec list;
+  digest : string;
+}
+
+(* Digests recorded with the hashtable-and-generic-heap event core that
+   the flat arrays replaced; a moved digest means a moved event order or
+   a reordered float sum. *)
+let golden_cases =
+  let net1 = Mdr_topology.Net1.topology in
+  let base =
+    {
+      name = "MP";
+      config = golden_config;
+      events = [];
+      topo = net1;
+      flows = net1_flows 3.0e6;
+      digest = "53c7d6809f65bb03f7cecb955b754ed3";
+    }
+  in
+  [
+    base;
+    {
+      base with
+      name = "SP";
+      config = { golden_config with scheme = Sim.Sp };
+      digest = "1423d9524e53d1b74720c9bcf81ac29e";
+    };
+    {
+      base with
+      name = "ECMP";
+      config = { golden_config with scheme = Sim.Ecmp };
+      topo = diamond;
+      flows =
+        (fun _ ->
+          [
+            { Sim.src = 0; dst = 3; rate_bits = 6.0e6; burst = None };
+            { Sim.src = 3; dst = 0; rate_bits = 2.0e6; burst = None };
+          ]);
+      digest = "53f936da6a88a5949dc2cc7d637b8808";
+    };
+    {
+      base with
+      name = "tail drop";
+      config = { golden_config with buffer_packets = Some 4 };
+      flows = net1_flows 6.0e6;
+      digest = "74ef726f6bb04150e54e99f0dec3db32";
+    };
+    {
+      base with
+      name = "faults";
+      events =
+        [
+          Sim.Fail_duplex { at = 3.0; a = 0; b = 1 };
+          Sim.Crash_node { at = 5.0; node = 4 };
+          Sim.Restore_duplex { at = 7.0; a = 0; b = 1 };
+          Sim.Restart_node { at = 8.5; node = 4 };
+        ];
+      digest = "eae6f5508a1042df9ac48c9d2c9f74b2";
+    };
+    {
+      base with
+      name = "on-off";
+      flows = net1_flows ~burst:(0.2, 0.3) 3.0e6;
+      digest = "0c4b3f06e04b0b1092abf84814111a00";
+    };
+  ]
+
+let golden_run c =
+  let topo = c.topo () in
+  Sim.run ~config:c.config ~events:c.events topo (c.flows topo)
+
+let test_golden_digests () =
+  List.iter
+    (fun c ->
+      let r = golden_run c in
+      (* Guard the coverage each case claims, so a digest cannot pin a
+         run that no longer exercises its feature. *)
+      (match c.name with
+      | "tail drop" -> check "tail drops happen" true (r.total_dropped > 1000)
+      | "faults" -> check_int "one epoch per distinct event time" 5 (List.length r.epochs)
+      | "ECMP" ->
+        check "both paths carry traffic" true
+          (List.for_all (fun (l : Sim.link_stat) -> l.packets > 1000)
+             (List.filter (fun (l : Sim.link_stat) -> l.src = 0) r.links))
+      | _ -> ());
+      Alcotest.(check string) c.name c.digest (result_digest r))
+    golden_cases
+
 let suite =
   [
     Alcotest.test_case "single link reproduces M/M/1" `Slow test_single_link_mm1_delay;
@@ -315,4 +453,5 @@ let suite =
     Alcotest.test_case "delay timeline collected" `Quick test_timeline_collected;
     Alcotest.test_case "link failure reroutes traffic" `Slow test_link_failure_reroutes;
     Alcotest.test_case "failure + restore delay profile" `Slow test_link_failure_and_restore;
+    Alcotest.test_case "golden digests are byte-identical" `Quick test_golden_digests;
   ]
