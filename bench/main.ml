@@ -155,6 +155,49 @@ let bench_opt_iteration =
     (Staged.stage (fun () ->
          ignore (Mdr_gallager.Gallager.solve ~max_iters:5 model w.Workload.topo traffic)))
 
+(* BA-60 (m = 2, 10 Mb/s links) with 80 random flows, scaled so the
+   busiest link runs at 0.8 under single-path routing: the solver load
+   of the repository benchmark's fluid workload. *)
+let ba60 =
+  lazy
+    (let module Fluid = Mdr_fluid in
+     let rng = Mdr_util.Rng.create ~seed:60 in
+     let topo =
+       Mdr_topology.Generators.barabasi_albert ~rng ~n:60 ~m:2
+         ~capacity_range:(10.0e6, 10.0e6) ()
+     in
+     let flows =
+       List.init 80 (fun _ ->
+           let src = Mdr_util.Rng.int rng ~bound:60 in
+           let dst = (src + 1 + Mdr_util.Rng.int rng ~bound:59) mod 60 in
+           let bits = Mdr_util.Rng.uniform rng ~lo:0.2e6 ~hi:0.8e6 in
+           { Fluid.Traffic.src; dst; rate = bits /. Workload.packet_size })
+     in
+     let base = Fluid.Traffic.of_flows ~n:60 flows in
+     let model = Fluid.Evaluate.model topo ~packet_size:Workload.packet_size in
+     let spf = Mdr_gallager.Gallager.spf_params model topo in
+     let u =
+       Fluid.Flows.max_utilization spf (Fluid.Flows.compute spf base)
+         ~packet_size:Workload.packet_size
+     in
+     (topo, model, spf, Fluid.Traffic.scale base (0.8 /. u)))
+
+let bench_ba60_flows =
+  Test.make ~name:"fluid: Flows.compute on BA-60"
+    (Staged.stage (fun () ->
+         let _, _, spf, traffic = Lazy.force ba60 in
+         ignore (Mdr_fluid.Flows.compute spf traffic)))
+
+let bench_ba60_opt_iteration =
+  (* One gradient-projection iteration from the SPF start, line search
+     and final flow computation included. *)
+  Test.make ~name:"gallager: one OPT iteration on BA-60"
+    (Staged.stage (fun () ->
+         let topo, model, spf, traffic = Lazy.force ba60 in
+         ignore
+           (Mdr_gallager.Gallager.solve ~max_iters:1 ~degrade:false ~init:spf model topo
+              traffic)))
+
 let bench_ah_step =
   let current = [ (1, 0.4); (2, 0.35); (3, 0.25) ] in
   let through = function 1 -> 1.0 | 2 -> 1.5 | 3 -> 2.0 | _ -> infinity in
@@ -286,6 +329,8 @@ let micro_benchmarks () =
       bench_mpda_convergence;
       bench_fluid_flows;
       bench_opt_iteration;
+      bench_ba60_flows;
+      bench_ba60_opt_iteration;
       bench_ah_step;
       bench_packet_sim;
       bench_incr_spf;

@@ -4,7 +4,6 @@ module Params = Fluid.Params
 module Flows = Fluid.Flows
 module Traffic = Fluid.Traffic
 module Evaluate = Fluid.Evaluate
-module Delay = Fluid.Delay
 module Dijkstra = Mdr_routing.Dijkstra
 
 type scheme = Mp | Sp | Ecmp
@@ -32,24 +31,23 @@ let successor_sets topo ~cost ~dst =
     if node = dst then []
     else List.filter (fun k -> dist.(k) < dist.(node)) (Graph.neighbors topo node)
 
-let link_cost_fn model flows (l : Graph.link) =
-  let f = Flows.link_flow flows ~src:l.src ~dst:l.dst in
-  Delay.marginal (Evaluate.delay_of_link model ~src:l.src ~dst:l.dst) f
+(* A cost function over link records reading costs by edge id, for
+   Dijkstra. *)
+let by_edge edges costs (l : Graph.link) =
+  costs.(Params.find_edge edges ~src:l.src ~dst:l.dst)
 
 (* One long-term (T_l) update: recompute distances and successor sets
-   from the measured marginal costs. IH reseeds the fractions only for
-   pairs whose successor set actually changed — the paper runs IH
-   "when S is computed for the first time or recomputed again due to
-   long-term route changes"; untouched pairs keep the distribution AH
-   has been refining. Returns the per-destination distance tables that
-   the following T_s steps treat as fixed long-term information. *)
-let long_term_update model params flows traffic ~scheme ~long_cost =
-  ignore model;
-  ignore flows;
+   from the long-term link costs [long_cost] (by edge id). IH reseeds
+   the fractions only for pairs whose successor set actually changed —
+   the paper runs IH "when S is computed for the first time or
+   recomputed again due to long-term route changes"; untouched pairs
+   keep the distribution AH has been refining. Returns the
+   per-destination distance tables that the following T_s steps treat
+   as fixed long-term information. *)
+let long_term_update params ~destinations ~scheme ~long_cost =
   let topo = Params.topology params in
   let n = Graph.node_count topo in
-  let cost = long_cost in
-  let lcost ~src ~dst = cost (Graph.link_exn topo ~src ~dst) in
+  let cost = by_edge (Params.edges params) long_cost in
   let distances = Hashtbl.create 8 in
   List.iter
     (fun dst ->
@@ -57,15 +55,22 @@ let long_term_update model params flows traffic ~scheme ~long_cost =
       Hashtbl.replace distances dst dist;
       for node = 0 to n - 1 do
         if node <> dst then begin
-          let nbrs = Graph.neighbors topo node in
-          let closer = List.filter (fun k -> dist.(k) < dist.(node)) nbrs in
+          let nbrs = Params.neighbor_array params node in
+          let e0 = Params.edge_base params node in
+          (* D_jk + l_ik through the neighbour at [slot]. *)
+          let through slot = dist.(nbrs.(slot)) +. long_cost.(e0 + slot) in
+          let closer = ref [] in
+          for slot = Array.length nbrs - 1 downto 0 do
+            if dist.(nbrs.(slot)) < dist.(node) then closer := slot :: !closer
+          done;
+          let closer = !closer in
           let best_of candidates =
             List.fold_left
-              (fun best k ->
-                let d = dist.(k) +. lcost ~src:node ~dst:k in
+              (fun best slot ->
+                let d = through slot in
                 match best with
                 | Some (_, bd) when bd <= d -> best
-                | _ -> Some (k, d))
+                | _ -> Some (slot, d))
               None candidates
           in
           let chosen =
@@ -73,49 +78,41 @@ let long_term_update model params flows traffic ~scheme ~long_cost =
             | [], _ -> []
             | _ :: _, Sp ->
               (* Single best successor: minimise D_jk + l_ik, ties to
-                 the lower id. *)
-              (match best_of closer with Some (k, _) -> [ k ] | None -> [])
+                 the earlier neighbour. *)
+              (match best_of closer with Some (slot, _) -> [ slot ] | None -> [])
             | _ :: _, Ecmp -> (
               (* OSPF-style: only successors whose total cost equals
                  the best, split evenly (no AH on ECMP entries). *)
               match best_of closer with
               | None -> []
               | Some (_, bd) ->
-                List.filter
-                  (fun k ->
-                    let d = dist.(k) +. lcost ~src:node ~dst:k in
-                    d <= bd *. (1.0 +. 1e-9))
-                  closer)
+                List.filter (fun slot -> through slot <= bd *. (1.0 +. 1e-9)) closer)
             | closer, Mp -> closer
           in
           let current = List.sort compare (Params.successors params ~node ~dst) in
-          if chosen <> current then begin
+          if List.map (fun slot -> nbrs.(slot)) chosen <> current then begin
             match chosen with
             | [] -> Params.clear params ~node ~dst
-            | [ k ] -> Params.set_single params ~node ~dst ~via:k
+            | [ slot ] -> Params.set_single params ~node ~dst ~via:nbrs.(slot)
             | _ when scheme = Ecmp ->
               let even = 1.0 /. float_of_int (List.length chosen) in
               Params.set_fractions params ~node ~dst
-                (List.map (fun k -> (k, even)) chosen)
+                (List.map (fun slot -> (nbrs.(slot), even)) chosen)
             | _ ->
-              let entries =
-                List.map (fun k -> (k, dist.(k) +. lcost ~src:node ~dst:k)) chosen
-              in
+              let entries = List.map (fun slot -> (nbrs.(slot), through slot)) chosen in
               Params.set_fractions params ~node ~dst (Heuristics.initial entries)
           end
         end
       done)
-    (Traffic.destinations traffic);
+    destinations;
   distances
 
 (* One short-term (T_s) update: AH on every routed pair. Neighbor
    distances are the stored long-term values; only the adjacent link
-   cost is re-measured — the split of time scales at the heart of the
-   framework. *)
-let short_term_update model params flows traffic ~damping ~distances =
-  let topo = Params.topology params in
-  let n = Graph.node_count topo in
-  let cost = link_cost_fn model flows in
+   cost, [costs] by edge id at the current flows, is re-measured — the
+   split of time scales at the heart of the framework. *)
+let short_term_update params ~destinations ~costs ~damping ~distances =
+  let n = Graph.node_count (Params.topology params) in
   List.iter
     (fun dst ->
       match Hashtbl.find_opt distances dst with
@@ -126,45 +123,39 @@ let short_term_update model params flows traffic ~damping ~distances =
             match Params.fractions params ~node ~dst with
             | [] | [ _ ] -> ()
             | current ->
-              let through k =
-                dist.(k) +. cost (Graph.link_exn topo ~src:node ~dst:k)
-              in
+              let e0 = Params.edge_base params node in
+              let through k = dist.(k) +. costs.(e0 + Params.slot params ~node ~via:k) in
               let adjusted = Heuristics.adjust ~damping ~current ~through () in
               Params.set_fractions params ~node ~dst adjusted
           end
         done)
-    (Traffic.destinations traffic)
+    destinations
 
 (* Long-term link costs are the *average* of the short-term marginal
    samples observed during the previous T_l interval — the paper's
    "link costs measured over longer intervals T_l" — which damps the
-   route flapping an instantaneous cost snapshot would cause. *)
+   route flapping an instantaneous cost snapshot would cause. Sums are
+   kept by edge id. *)
 module Cost_window = struct
   type t = {
-    sums : (int * int, float) Hashtbl.t;
+    sums : float array;
     mutable samples : int;
   }
 
-  let create () = { sums = Hashtbl.create 64; samples = 0 }
+  let create links = { sums = Array.make links 0.0; samples = 0 }
 
-  let record t model flows topo =
+  let record t costs =
     t.samples <- t.samples + 1;
-    Graph.fold_links topo ~init:() ~f:(fun () l ->
-        let c = link_cost_fn model flows l in
-        let key = (l.Graph.src, l.Graph.dst) in
-        let prev = try Hashtbl.find t.sums key with Not_found -> 0.0 in
-        Hashtbl.replace t.sums key (prev +. c))
+    Array.iteri (fun e c -> t.sums.(e) <- t.sums.(e) +. c) costs
 
-  let mean_cost_fn t =
-    let samples = float_of_int (max 1 t.samples) in
-    let sums = Hashtbl.copy t.sums in
-    fun (l : Graph.link) ->
-      match Hashtbl.find_opt sums (l.src, l.dst) with
-      | Some sum -> sum /. samples
-      | None -> infinity
+  let means t =
+    if t.samples = 0 then Array.map (fun _ -> infinity) t.sums
+    else
+      let samples = float_of_int t.samples in
+      Array.map (fun sum -> sum /. samples) t.sums
 
   let reset t =
-    Hashtbl.reset t.sums;
+    Array.fill t.sums 0 (Array.length t.sums) 0.0;
     t.samples <- 0
 end
 
@@ -172,31 +163,34 @@ let run ?(config = default_config) model topo traffic =
   if config.rounds < 1 then invalid_arg "Controller.run: rounds < 1";
   if config.ts_per_tl < 1 then invalid_arg "Controller.run: ts_per_tl < 1";
   let params = Params.create topo in
+  let destinations = Traffic.destinations traffic in
   let history = ref [] in
   let flows = ref (Flows.compute params traffic) in
-  let window = Cost_window.create () in
+  (* The marginal costs at the current flows, refreshed by [record] and
+     read by the AH step that follows it. *)
+  let costs = Evaluate.link_costs model !flows in
+  let window = Cost_window.create (Array.length costs) in
   let record () =
     history := Evaluate.average_delay model !flows traffic :: !history;
-    Cost_window.record window model !flows topo
+    ignore (Evaluate.link_costs ~into:costs model !flows);
+    Cost_window.record window costs
   in
   for round = 1 to config.rounds do
     let long_cost =
-      if round = 1 then link_cost_fn model !flows
-      else Cost_window.mean_cost_fn window
+      if round = 1 then costs else Cost_window.means window
     in
     Cost_window.reset window;
     let distances =
-      long_term_update model params !flows traffic ~scheme:config.scheme
-        ~long_cost
+      long_term_update params ~destinations ~scheme:config.scheme ~long_cost
     in
-    flows := Flows.compute params traffic;
+    flows := Flows.compute ~into:!flows params traffic;
     record ();
     for _step = 2 to config.ts_per_tl do
       (* ECMP keeps its even split: OSPF has no load-balancing step. *)
       if config.scheme <> Ecmp then
-        short_term_update model params !flows traffic ~damping:config.damping
+        short_term_update params ~destinations ~costs ~damping:config.damping
           ~distances;
-      flows := Flows.compute params traffic;
+      flows := Flows.compute ~into:!flows params traffic;
       record ()
     done
   done;

@@ -3,70 +3,142 @@ module Graph = Mdr_topology.Graph
 type model = {
   topo : Graph.t;
   packet_size : float;
-  delays : (int * int, Delay.t) Hashtbl.t;
+  delays : Delay.t array;  (* by edge id *)
+  fold_order : int array;  (* edge ids in [Graph.fold_links] order *)
 }
 
+(* Edge ids come from the insertion order alone: the out-CSR lists each
+   router's links in the order they were added, so a link's id is its
+   router's row offset plus the number of the router's links added
+   before it. Building the model this way leaves the CSR view to be
+   built by whoever first needs it. *)
 let model ?rho_max topo ~packet_size =
-  let delays = Hashtbl.create (Graph.link_count topo) in
-  Graph.fold_links topo ~init:() ~f:(fun () l ->
-      Hashtbl.replace delays (l.src, l.dst) (Delay.of_link ?rho_max ~packet_size l));
-  { topo; packet_size; delays }
+  let n = Graph.node_count topo in
+  let links = Array.of_list (Graph.links topo) in
+  let next = Array.make (n + 1) 0 in
+  Array.iter (fun (l : Graph.link) -> next.(l.src + 1) <- next.(l.src + 1) + 1) links;
+  for u = 1 to n do
+    next.(u) <- next.(u) + next.(u - 1)
+  done;
+  let fold_order =
+    Array.map
+      (fun (l : Graph.link) ->
+        let e = next.(l.src) in
+        next.(l.src) <- e + 1;
+        e)
+      links
+  in
+  let link_of = Array.make (Array.length links) 0 in
+  Array.iteri (fun i e -> link_of.(e) <- i) fold_order;
+  {
+    topo;
+    packet_size;
+    delays =
+      Array.init (Array.length links) (fun e ->
+          Delay.of_link ?rho_max ~packet_size links.(link_of.(e)));
+    fold_order;
+  }
 
 let packet_size m = m.packet_size
 
+(* The topology's out-CSR, which the delays are indexed by as long as
+   no link was added since the model was built. *)
+let edges m =
+  let edges = Graph.out_csr m.topo in
+  if Array.length edges.links <> Array.length m.delays then
+    invalid_arg "Evaluate: links were added to the topology after the model was built";
+  edges
+
+let check_flows m (flows : Flows.t) =
+  if not (Params.same_edges (edges m) flows.edges) then
+    invalid_arg "Evaluate: flows computed over a different topology than the model's"
+
+let check_params m params =
+  if not (Params.same_edges (edges m) (Params.edges params)) then
+    invalid_arg "Evaluate: routing table over a different topology than the model's"
+
 let delay_of_link m ~src ~dst =
-  try Hashtbl.find m.delays (src, dst)
-  with Not_found ->
+  let e = Params.find_edge (edges m) ~src ~dst in
+  if e < 0 then
     invalid_arg
       (Printf.sprintf "Evaluate.delay_of_link: no link %s -> %s"
-         (Graph.name m.topo src) (Graph.name m.topo dst))
+         (Graph.name m.topo src) (Graph.name m.topo dst));
+  m.delays.(e)
+
+let delay_of_edge m e = m.delays.(e)
 
 let total_cost m flows =
-  Graph.fold_links m.topo ~init:0.0 ~f:(fun acc l ->
-      let f = Flows.link_flow flows ~src:l.src ~dst:l.dst in
-      if f <= 0.0 then acc
-      else acc +. Delay.cost (delay_of_link m ~src:l.src ~dst:l.dst) f)
+  check_flows m flows;
+  let lf = flows.Flows.link_flows in
+  let acc = ref 0.0 in
+  for i = 0 to Array.length m.fold_order - 1 do
+    let e = m.fold_order.(i) in
+    let f = lf.(e) in
+    if not (f <= 0.0) then acc := !acc +. Delay.cost m.delays.(e) f
+  done;
+  !acc
 
 let average_delay m flows traffic =
   let total = Traffic.total_rate traffic in
   if total <= 0.0 then 0.0 else total_cost m flows /. total
 
 let link_cost m flows ~src ~dst =
+  check_flows m flows;
   let f = Flows.link_flow flows ~src ~dst in
   Delay.marginal (delay_of_link m ~src ~dst) f
 
 let saturated_links m flows =
-  List.rev
-    (Graph.fold_links m.topo ~init:[] ~f:(fun acc l ->
-         let f = Flows.link_flow flows ~src:l.src ~dst:l.dst in
-         if Delay.saturated (delay_of_link m ~src:l.src ~dst:l.dst) f then
-           (l.src, l.dst) :: acc
-         else acc))
+  check_flows m flows;
+  let links = flows.Flows.edges.links in
+  List.filter_map
+    (fun e ->
+      if Delay.saturated m.delays.(e) flows.Flows.link_flows.(e) then
+        Some (links.(e).Graph.src, links.(e).Graph.dst)
+      else None)
+    (Array.to_list m.fold_order)
 
 let costs_finite m flows =
-  Graph.fold_links m.topo ~init:true ~f:(fun ok l ->
-      let f = Flows.link_flow flows ~src:l.src ~dst:l.dst in
-      let d = delay_of_link m ~src:l.src ~dst:l.dst in
-      ok
-      && Float.is_finite f && f >= 0.0
+  check_flows m flows;
+  Array.for_all
+    (fun e ->
+      let f = flows.Flows.link_flows.(e) and d = m.delays.(e) in
+      Float.is_finite f && f >= 0.0
       && Float.is_finite (Delay.cost d f)
       && Float.is_finite (Delay.marginal d f)
       && Delay.cost d f >= 0.0
       && Delay.marginal d f > 0.0)
+    m.fold_order
 
-let link_costs m flows =
-  let table = Hashtbl.create (Graph.link_count m.topo) in
-  Graph.fold_links m.topo ~init:() ~f:(fun () l ->
-      Hashtbl.replace table (l.src, l.dst)
-        (link_cost m flows ~src:l.src ~dst:l.dst));
-  table
+(* One value per edge, from the delay model and the edge's flow. *)
+let per_edge ?into m flows value =
+  check_flows m flows;
+  let len = Array.length m.delays in
+  let out =
+    match into with
+    | None -> Array.make len 0.0
+    | Some a ->
+      if Array.length a < len then
+        invalid_arg "Evaluate: into buffer shorter than link count";
+      a
+  in
+  let lf = flows.Flows.link_flows in
+  for e = 0 to len - 1 do
+    out.(e) <- value m.delays.(e) lf.(e)
+  done;
+  out
+
+let link_costs ?into m flows = per_edge ?into m flows Delay.marginal
 
 (* Shared downstream recursion for both expected delays (per-packet
    sojourn) and marginal distances (marginal link cost): values are
    computed in reverse topological order of SG_dst, so each router's
-   successors are resolved before the router itself. *)
-let downstream_values ?into m params ~dst ~link_value =
+   successors are resolved before the router itself. Each router's sum
+   runs over its slots in order. *)
+let distances_over ?into ?scratch m params ~costs ~dst =
+  check_params m params;
   let n = Graph.node_count m.topo in
+  if Array.length costs < Array.length m.delays then
+    invalid_arg "Evaluate: costs shorter than link count";
   let values =
     match into with
     | None -> Array.make n infinity
@@ -77,46 +149,45 @@ let downstream_values ?into m params ~dst ~link_value =
       a
   in
   values.(dst) <- 0.0;
+  let scratch = match scratch with Some s -> s | None -> Flows.scratch n in
   let order =
-    try Flows.topological_order params ~dst
+    try Flows.sort_into scratch params ~dst
     with Flows.Cyclic_routing _ ->
       invalid_arg "Evaluate: successor graph has a cycle"
   in
-  let resolve node =
-    if node <> dst then begin
-      match Params.fractions params ~node ~dst with
-      | [] -> ()
-      | fracs ->
-        let total =
-          List.fold_left
-            (fun acc (via, frac) ->
-              acc +. (frac *. (link_value ~src:node ~dst:via +. values.(via))))
-            0.0 fracs
-        in
-        values.(node) <- total
-    end
-  in
   (* Topological order lists predecessors first; successors last. *)
-  List.iter resolve (List.rev order);
+  for i = n - 1 downto 0 do
+    let node = order.(i) in
+    if node <> dst then begin
+      let row = Params.row params ~node ~dst and nbrs = Params.neighbor_array params node in
+      let e0 = Params.edge_base params node in
+      let total = ref 0.0 and routed = ref false in
+      for slot = 0 to Array.length row - 1 do
+        let frac = row.(slot) in
+        if frac > 0.0 then begin
+          routed := true;
+          total := !total +. (frac *. (costs.(e0 + slot) +. values.(nbrs.(slot))))
+        end
+      done;
+      if !routed then values.(node) <- !total
+    end
+  done;
   values
 
-let sojourn_value m flows ~src ~dst =
-  let f = Flows.link_flow flows ~src ~dst in
-  Delay.sojourn (delay_of_link m ~src ~dst) f
-
-let expected_delay_array m params flows ~dst =
-  downstream_values m params ~dst ~link_value:(sojourn_value m flows)
+let sojourns m flows = per_edge m flows Delay.sojourn
 
 let expected_delay m params flows ~src ~dst =
-  (expected_delay_array m params flows ~dst).(src)
+  (distances_over m params ~costs:(sojourns m flows) ~dst).(src)
 
 let per_flow_delays m params flows traffic =
+  let costs = sojourns m flows in
+  let scratch = Flows.scratch (Graph.node_count m.topo) in
   let cache = Hashtbl.create 8 in
   let array_for dst =
     match Hashtbl.find_opt cache dst with
     | Some a -> a
     | None ->
-      let a = expected_delay_array m params flows ~dst in
+      let a = distances_over ~scratch m params ~costs ~dst in
       Hashtbl.replace cache dst a;
       a
   in
@@ -125,8 +196,4 @@ let per_flow_delays m params flows traffic =
     (Traffic.flows traffic)
 
 let marginal_distances ?into m params flows ~dst =
-  let link_value ~src ~dst =
-    let f = Flows.link_flow flows ~src ~dst in
-    Delay.marginal (delay_of_link m ~src ~dst) f
-  in
-  downstream_values ?into m params ~dst ~link_value
+  distances_over ?into m params ~costs:(link_costs m flows) ~dst

@@ -3,22 +3,36 @@
     Computes the paper's objective D_T (Eq. 3), the network-average
     per-packet delay, per-flow expected delays (what Figures 9-12
     plot), and the marginal link costs / marginal distances used by the
-    routing algorithms (Eqs. 4-5). *)
+    routing algorithms (Eqs. 4-5).
+
+    A model holds its delay models by edge id (see {!Params}); every
+    function that takes flows or a routing table checks that they have
+    the model's edge layout.
+    @raise Invalid_argument from any function given flows or a table
+    over a different layout: reading them by edge id would silently
+    pair flows with the wrong links. *)
 
 type model
-(** Per-link M/M/1 delay models for one topology. *)
+(** Per-link M/M/1 delay models for one topology, by edge id. *)
 
 val model : ?rho_max:float -> Mdr_topology.Graph.t -> packet_size:float -> model
 (** [packet_size] is the mean packet size in bits used to convert link
-    capacities to packets/s. *)
+    capacities to packets/s. The model covers the topology's links at
+    this moment; once a link is added, every function given the model
+    raises [Invalid_argument]. *)
 
 val packet_size : model -> float
 
 val delay_of_link : model -> src:int -> dst:int -> Delay.t
+(** @raise Invalid_argument when there is no such link. *)
+
+val delay_of_edge : model -> int -> Delay.t
+(** The delay model of an edge id. *)
 
 val total_cost : model -> Flows.t -> float
 (** D_T = sum over links of D_ik(f_ik): total expected delay per
-    message times total message arrival rate. *)
+    message times total message arrival rate. Summed in
+    {!Mdr_topology.Graph.fold_links} order. *)
 
 val average_delay : model -> Flows.t -> Traffic.t -> float
 (** D_T / total input rate: expected network delay per packet,
@@ -27,8 +41,10 @@ val average_delay : model -> Flows.t -> Traffic.t -> float
 val link_cost : model -> Flows.t -> src:int -> dst:int -> float
 (** Marginal delay D'_ik(f_ik) — the link cost l_ik. *)
 
-val link_costs : model -> Flows.t -> (int * int, float) Hashtbl.t
-(** Marginal delay of every link of the topology. *)
+val link_costs : ?into:float array -> model -> Flows.t -> float array
+(** Marginal delay of every link, by edge id. [into], when given, is
+    overwritten and returned instead of a fresh array (length >= link
+    count). *)
 
 val saturated_links : model -> Flows.t -> (int * int) list
 (** Directed links whose flow lies beyond their delay model's knee
@@ -56,5 +72,17 @@ val marginal_distances :
     destination (Eq. 4): delta_i = sum_k phi_ik (l_ik + delta_k).
     Unrouted routers get [infinity]. [into], when given, is fully
     overwritten and returned instead of a fresh array (length >= node
-    count) — iteration loops pass one reusable buffer so the per-call
-    allocation disappears. *)
+    count). This is {!distances_over} the {!link_costs}; a loop over
+    many destinations at one operating point calls that directly with
+    the costs computed once. *)
+
+val distances_over :
+  ?into:float array -> ?scratch:Flows.scratch -> model -> Params.t -> costs:float array ->
+  dst:int -> float array
+(** The downstream sums v_i = sum_k phi_ik (c_ik + v_k) over SG_dst,
+    with [c] given by edge id: with {!link_costs} these are the
+    marginal distances, with sojourn times the expected delays.
+    Routers are resolved in reverse topological order and each sum
+    runs over the router's slots in order. [into] is as for
+    {!marginal_distances}; [scratch] holds the sort's buffers.
+    @raise Invalid_argument if SG_dst has a cycle. *)

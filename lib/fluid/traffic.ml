@@ -1,20 +1,36 @@
 type flow = { src : int; dst : int; rate : float }
 
-type t = { n : int; r : float array array }
+(* [dsts] caches the destinations: a matrix never changes once built,
+   and every flow computation asks for them. *)
+type t = { n : int; r : float array array; dsts : int list }
 
-let empty ~n = { n; r = Array.make_matrix n n 0.0 }
+let make n r =
+  let has = Array.make n false in
+  for src = 0 to n - 1 do
+    let row = r.(src) in
+    for dst = 0 to n - 1 do
+      if row.(dst) > 0.0 then has.(dst) <- true
+    done
+  done;
+  let dsts = ref [] in
+  for dst = n - 1 downto 0 do
+    if has.(dst) then dsts := dst :: !dsts
+  done;
+  { n; r; dsts = !dsts }
 
-let add t { src; dst; rate } =
-  if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
+let empty ~n = make n (Array.make_matrix n n 0.0)
+
+let add n r { src; dst; rate } =
+  if src < 0 || src >= n || dst < 0 || dst >= n then
     invalid_arg "Traffic: node out of range";
   if src = dst then invalid_arg "Traffic: self-flow";
   if rate < 0.0 then invalid_arg "Traffic: negative rate";
-  t.r.(src).(dst) <- t.r.(src).(dst) +. rate
+  r.(src).(dst) <- r.(src).(dst) +. rate
 
 let of_flows ~n flows =
-  let t = empty ~n in
-  List.iter (add t) flows;
-  t
+  let r = Array.make_matrix n n 0.0 in
+  List.iter (add n r) flows;
+  make n r
 
 let of_pairs_bits ~n ~packet_size ~rate_bits pairs =
   if packet_size <= 0.0 then invalid_arg "Traffic.of_pairs_bits: packet_size <= 0";
@@ -29,6 +45,8 @@ let node_count t = t.n
 
 let rate t ~src ~dst = t.r.(src).(dst)
 
+let matrix t = t.r
+
 let total_rate t =
   Array.fold_left (fun acc row -> Array.fold_left ( +. ) acc row) 0.0 t.r
 
@@ -42,11 +60,8 @@ let flows t =
   done;
   !acc
 
-let destinations t =
-  List.filter
-    (fun dst -> List.exists (fun src -> t.r.(src).(dst) > 0.0) (List.init t.n Fun.id))
-    (List.init t.n Fun.id)
+let destinations t = t.dsts
 
 let scale t k =
   if k < 0.0 then invalid_arg "Traffic.scale: negative factor";
-  { n = t.n; r = Array.map (Array.map (fun x -> x *. k)) t.r }
+  make t.n (Array.map (Array.map (fun x -> x *. k)) t.r)

@@ -23,6 +23,12 @@ val of_pairs_bits :
 
 val node_count : t -> int
 val rate : t -> src:int -> dst:int -> float
+
+val matrix : t -> float array array
+(** [(matrix t).(src).(dst)] is [rate t ~src ~dst]: the storage itself,
+    for hot loops (a float read from it is not boxed, as the result of
+    [rate] is). Must not be mutated. *)
+
 val total_rate : t -> float
 val flows : t -> flow list
 (** Non-zero entries, ordered by (src, dst). *)

@@ -59,110 +59,139 @@ let spf_params model topo =
   done;
   params
 
+(* Buffers one solve reuses for every destination of every iteration:
+   the marginal distances, the improper marks, the DAG sort, the
+   marginal link costs by edge id and one routing row by slot. *)
+type workspace = {
+  delta : float array;
+  improper : bool array;
+  dag : Flows.scratch;
+  costs : float array;
+  next : float array;
+}
+
+let workspace topo =
+  let n = Graph.node_count topo in
+  let csr = Graph.out_csr topo in
+  let max_degree = ref 0 in
+  for i = 0 to n - 1 do
+    max_degree := max !max_degree (csr.row.(i + 1) - csr.row.(i))
+  done;
+  {
+    delta = Array.make n infinity;
+    improper = Array.make n false;
+    dag = Flows.scratch n;
+    costs = Array.make (Array.length csr.links) 0.0;
+    next = Array.make !max_degree 0.0;
+  }
+
 (* Improper nodes for a destination: a node is improper when one of its
    routed links goes uphill in marginal distance, or when some
    successor is improper. Blocking flow additions toward improper
    neighbors is Gallager's device for keeping successor graphs acyclic
    while delta evolves. *)
-let improper_nodes params delta ~dst ~n =
-  let improper = Array.make n false in
-  let order = Flows.topological_order params ~dst in
-  let mark node =
-    if node <> dst then begin
-      let succs = Params.successors params ~node ~dst in
-      let uphill k = delta.(k) >= delta.(node) in
-      if List.exists (fun k -> uphill k || improper.(k)) succs then
-        improper.(node) <- true
-    end
-  in
+let improper_nodes ws params delta ~dst =
+  let n = Array.length ws.improper in
+  let improper = ws.improper in
+  Array.fill improper 0 n false;
+  let order = Flows.sort_into ws.dag params ~dst in
   (* Successors resolve before the nodes that use them. *)
-  List.iter mark (List.rev order);
+  for i = n - 1 downto 0 do
+    let node = order.(i) in
+    if node <> dst then begin
+      let row = Params.row params ~node ~dst and nbrs = Params.neighbor_array params node in
+      for slot = 0 to Array.length row - 1 do
+        let k = nbrs.(slot) in
+        if row.(slot) > 0.0 && (delta.(k) >= delta.(node) || improper.(k)) then
+          improper.(node) <- true
+      done
+    end
+  done;
   improper
 
-let update_destination ?(second_order = false) ?delta_into model params flows
-    ~eta ~dst =
-  let topo = Params.topology params in
-  let n = Graph.node_count topo in
-  let delta = Evaluate.marginal_distances ?into:delta_into model params flows ~dst in
-  let improper = improper_nodes params delta ~dst ~n in
+(* [ws.costs] holds the marginal link costs at [flows]. The new row is
+   built in [ws.next] by slot and summed best hop first, then by slot;
+   the golden digests pin that summation order. *)
+let update_destination ~second_order ws model params flows ~eta ~dst =
+  let n = Array.length ws.delta in
+  let costs = ws.costs and next = ws.next in
+  let delta =
+    Evaluate.distances_over ~into:ws.delta ~scratch:ws.dag model params ~costs ~dst
+  in
+  let improper = improper_nodes ws params delta ~dst in
   let max_change = ref 0.0 in
   for node = 0 to n - 1 do
     if node <> dst then begin
       let nbrs = Params.neighbor_array params node in
-      if Array.length nbrs > 0 then begin
-        let through k =
-          Evaluate.link_cost model flows ~src:node ~dst:k +. delta.(k)
+      let row = Params.row params ~node ~dst in
+      let e0 = Params.edge_base params node in
+      let degree = Array.length nbrs in
+      (* Best hop: the lowest finite marginal distance l_ik + delta_k
+         over the slots not blocked, ties to the earlier slot. The sum
+         is written out at each use, not in a local function, so the
+         float stays unboxed. *)
+      let best = ref (-1) and dmin = ref infinity in
+      for slot = 0 to degree - 1 do
+        let k = nbrs.(slot) in
+        let blocked =
+          Float.equal row.(slot) 0.0 && (delta.(k) >= delta.(node) || improper.(k))
         in
-        let phi k = Params.fraction params ~node ~dst ~via:k in
-        let blocked k =
-          Float.equal (phi k) 0.0 && (delta.(k) >= delta.(node) || improper.(k))
-        in
-        let candidates = Array.to_list nbrs in
-        let best =
-          List.fold_left
-            (fun best k ->
-              if blocked k then best
-              else
-                let d = through k in
-                match best with
-                | Some (_, bd) when bd <= d -> best
-                | _ -> if Float.is_finite d then Some (k, d) else best)
-            None candidates
-        in
-        match best with
-        | None -> ()
-        | Some (kmin, dmin) ->
-          let t_node = flows.Flows.node_flows.(node).(dst) in
-          let moved = ref 0.0 in
-          let entries =
-            List.filter_map
-              (fun k ->
-                let p = phi k in
-                if k = kmin || p <= 0.0 then None
-                else begin
-                  let reduction =
-                    if t_node > 0.0 then begin
-                      (* Second-order scaling (Bertsekas-Gallager):
-                         normalise the step by the curvature of the
-                         two links traded against each other, making
-                         eta dimensionless and far less input-
-                         dependent. *)
-                      let scale =
-                        if second_order then begin
-                          (* Newton-style: d2(D_T)/d(phi)^2 ~ t^2 (D''_k
-                             + D''_kmin); the gradient is t a_k, so the
-                             step is a_k / (t (D''_k + D''_kmin)). *)
-                          let second via =
-                            let f =
-                              match Hashtbl.find_opt flows.Flows.link_flows (node, via) with
-                              | Some f -> f
-                              | None -> 0.0
-                            in
-                            Delay.second
-                              (Evaluate.delay_of_link model ~src:node ~dst:via)
-                              f
-                          in
-                          Float.max 1e-12 (second k +. second kmin)
-                        end
-                        else 1.0
-                      in
-                      Float.min p (eta *. (through k -. dmin) /. (t_node *. scale))
-                    end
-                    else p (* no traffic: collapse onto the best hop *)
-                  in
-                  moved := !moved +. reduction;
-                  let remaining = p -. reduction in
-                  if remaining > 1e-12 then Some (k, remaining) else None
-                end)
-              candidates
-          in
-          let best_share = phi kmin +. !moved in
-          let entries = (kmin, best_share) :: entries in
-          (* Guard against drift before writing back. *)
-          let total = List.fold_left (fun acc (_, f) -> acc +. f) 0.0 entries in
-          let entries = List.map (fun (k, f) -> (k, f /. total)) entries in
-          max_change := Float.max !max_change !moved;
-          Params.set_fractions params ~node ~dst entries
+        if not blocked then begin
+          let d = costs.(e0 + slot) +. delta.(k) in
+          if not (!best >= 0 && !dmin <= d) && Float.is_finite d then begin
+            best := slot;
+            dmin := d
+          end
+        end
+      done;
+      if !best >= 0 then begin
+        let kmin = !best and dmin = !dmin in
+        let t_node = flows.Flows.node_flows.(node).(dst) in
+        let moved = ref 0.0 in
+        for slot = 0 to degree - 1 do
+          let p = row.(slot) in
+          next.(slot) <- 0.0;
+          if slot <> kmin && not (p <= 0.0) then begin
+            let reduction =
+              if t_node > 0.0 then begin
+                (* Second-order scaling (Bertsekas-Gallager):
+                   normalise the step by the curvature of the two
+                   links traded against each other, making eta
+                   dimensionless and far less input-dependent. *)
+                let scale =
+                  if second_order then begin
+                    (* Newton-style: d2(D_T)/d(phi)^2 ~ t^2 (D''_k
+                       + D''_kmin); the gradient is t a_k, so the
+                       step is a_k / (t (D''_k + D''_kmin)). *)
+                    let second slot =
+                      let e = e0 + slot in
+                      Delay.second (Evaluate.delay_of_edge model e) flows.Flows.link_flows.(e)
+                    in
+                    Float.max 1e-12 (second slot +. second kmin)
+                  end
+                  else 1.0
+                in
+                let through = costs.(e0 + slot) +. delta.(nbrs.(slot)) in
+                Float.min p (eta *. (through -. dmin) /. (t_node *. scale))
+              end
+              else p (* no traffic: collapse onto the best hop *)
+            in
+            moved := !moved +. reduction;
+            let remaining = p -. reduction in
+            if remaining > 1e-12 then next.(slot) <- remaining
+          end
+        done;
+        next.(kmin) <- row.(kmin) +. !moved;
+        (* Guard against drift before writing back. *)
+        let total = ref next.(kmin) in
+        for slot = 0 to degree - 1 do
+          if slot <> kmin then total := !total +. next.(slot)
+        done;
+        for slot = 0 to degree - 1 do
+          next.(slot) <- next.(slot) /. !total
+        done;
+        max_change := Float.max !max_change !moved;
+        Params.set_slots params ~node ~dst ~first:kmin next
       end
     end
   done;
@@ -179,19 +208,20 @@ let solve_admitted ~eta ~adaptive ~second_order ~max_iters ~tol ?init model topo
   let n = Graph.node_count topo in
   let destinations = List.filter (fun d -> d < n) (Traffic.destinations traffic) in
   let tol_move = Float.max tol 1e-8 in
-  let cost_of p =
-    let flows = Flows.compute ~iterative_fallback:true p traffic in
+  (* Two flow buffers: the iterate's, read by the update, and the
+     line search's trial, of which only the cost is kept. *)
+  let current = ref None and trial = ref None in
+  let cost_of buf p =
+    let flows = Flows.compute ~iterative_fallback:true ?into:!buf p traffic in
+    buf := Some flows;
     (flows, Evaluate.total_cost model flows)
   in
-  (* One marginal-distance buffer serves every destination of every
-     iteration; [marginal_distances] overwrites it in full. *)
-  let delta_buf = Array.make n infinity in
+  let ws = workspace topo in
   let apply p flows step =
     List.fold_left
       (fun acc dst ->
         Float.max acc
-          (update_destination ~second_order ~delta_into:delta_buf model p flows
-             ~eta:step ~dst))
+          (update_destination ~second_order ws model p flows ~eta:step ~dst))
       0.0 destinations
   in
   let eta_floor = eta *. 1e-12 in
@@ -200,16 +230,20 @@ let solve_admitted ~eta ~adaptive ~second_order ~max_iters ~tol ?init model topo
   let finished = ref false in
   let iterations = ref 0 in
   let converged = ref false in
+  (* The line search's restore point, overwritten every iteration. *)
+  let saved = if adaptive then Some (Params.copy params) else None in
   while not !finished && !iterations < max_iters do
     incr iterations;
-    let flows, cost = cost_of params in
+    let flows, cost = cost_of current params in
+    ignore (Evaluate.link_costs ~into:ws.costs model flows);
     history := cost :: !history;
-    if adaptive then begin
+    match saved with
+    | Some saved ->
       (* Backtracking line search: keep halving the step until the
          update strictly descends, restoring the parameters between
          attempts. The objective is convex, so a small enough step
          always descends unless we are at the optimum. *)
-      let saved = Params.copy params in
+      Params.assign saved ~from_:params;
       let rec attempt step =
         let moved = apply params flows step in
         if moved < tol_move then begin
@@ -217,7 +251,7 @@ let solve_admitted ~eta ~adaptive ~second_order ~max_iters ~tol ?init model topo
           finished := true
         end
         else begin
-          let _, new_cost = cost_of params in
+          let _, new_cost = cost_of trial params in
           if new_cost < cost then
             (* Successful step: let the step size recover. *)
             cur_eta := Float.min eta (step *. 1.5)
@@ -233,15 +267,13 @@ let solve_admitted ~eta ~adaptive ~second_order ~max_iters ~tol ?init model topo
         end
       in
       attempt !cur_eta
-    end
-    else begin
+    | None ->
       (* Pure Gallager: fixed global step, no safeguards (ABL-ETA). *)
       let moved = apply params flows eta in
       if moved < tol_move then begin
         converged := true;
         finished := true
       end
-    end
   done;
   let flows = Flows.compute ~iterative_fallback:true params traffic in
   (params, flows, !iterations, List.rev !history, !converged)
@@ -309,13 +341,16 @@ let check_optimality model params flows traffic ~tolerance =
   let topo = Params.topology params in
   let n = Graph.node_count topo in
   let ok = ref true in
-  let delta_buf = Array.make n infinity in
+  let delta_buf = Array.make n infinity and scratch = Flows.scratch n in
+  let costs = Evaluate.link_costs model flows in
   let check_destination dst =
-    let delta = Evaluate.marginal_distances ~into:delta_buf model params flows ~dst in
+    let delta =
+      Evaluate.distances_over ~into:delta_buf ~scratch model params ~costs ~dst
+    in
     for node = 0 to n - 1 do
       if node <> dst && flows.Flows.node_flows.(node).(dst) > 1e-9 then begin
         let through k =
-          Evaluate.link_cost model flows ~src:node ~dst:k +. delta.(k)
+          costs.(Params.edge_base params node + Params.slot params ~node ~via:k) +. delta.(k)
         in
         let succs = Params.successors params ~node ~dst in
         let values = List.map through succs in

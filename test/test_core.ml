@@ -329,6 +329,39 @@ let test_ah_reaches_perfect_balance_closed_loop () =
      C2/(C2-f2)^2 with f1 + f2 = 2197 pkt/s). *)
   check "split near the balanced point" true (mean_phi > 0.65 && mean_phi < 0.80)
 
+(* Digests recorded with the hashtable-keyed fluid core that the
+   edge-indexed arrays replaced; inputs and digest format are shared
+   with the Gallager golden test. *)
+let controller_golden =
+  [
+    ( Controller.Mp,
+      [ ("CAIRN", "1def89ac007d21104164eebbfac8c849"); ("BA-20", "40e312c1ce1108c9ff7c821fca4954c9") ] );
+    ( Controller.Sp,
+      [ ("CAIRN", "2aeb42fc0cb26caf47a3e80fe1091348"); ("BA-20", "2a9d47ef84bf2eaf6f4fdc93c93993b7") ] );
+    ( Controller.Ecmp,
+      [ ("CAIRN", "2aeb42fc0cb26caf47a3e80fe1091348"); ("BA-20", "b1e7f470bbc5c31f21c5604c54247261") ] );
+  ]
+
+let test_golden_digests () =
+  List.iter
+    (fun (name, g, traffic) ->
+      let model = Fluid.Evaluate.model g ~packet_size:pkt in
+      List.iter
+        (fun (scheme, digests) ->
+          let config = { Controller.default_config with scheme } in
+          let r = Controller.run ~config model g traffic in
+          let delays = Fluid.Evaluate.per_flow_delays model r.params r.flows traffic in
+          let got =
+            Test_gallager.golden_digest ~total_cost:r.total_cost
+              ~iterations:(List.length r.delay_history) ~delays
+          in
+          let label =
+            match scheme with Controller.Mp -> "MP" | Sp -> "SP" | Ecmp -> "ECMP"
+          in
+          Alcotest.(check string) (label ^ " on " ^ name) (List.assoc name digests) got)
+        controller_golden)
+    (Test_gallager.golden_inputs ())
+
 let suite =
   [
     Alcotest.test_case "ih: single successor" `Quick test_ih_single_successor;
@@ -356,4 +389,5 @@ let suite =
     Alcotest.test_case "ah: closed loop equalizes marginals" `Quick test_ah_reaches_perfect_balance_closed_loop;
     QCheck_alcotest.to_alcotest prop_ah_preserves_distribution;
     QCheck_alcotest.to_alcotest prop_ih_preserves_distribution;
+    Alcotest.test_case "golden digests are byte-identical" `Quick test_golden_digests;
   ]

@@ -408,6 +408,306 @@ let test_feasibility_cap_headroom () =
   let r = Feasibility.report ~cap:0.5 g ~packet_size:1000.0 t in
   check_approx "capped fraction" (2.0 /. 3.0) r.Feasibility.fraction
 
+(* --- Edge-layout contract -------------------------------------------- *)
+
+(* The diamond with its links added in another order: same links, other
+   neighbour slots (s lists b before a). *)
+let diamond_reordered () =
+  let g = Graph.create ~names:[| "s"; "a"; "b"; "d" |] in
+  List.iter
+    (fun (x, y) -> Graph.add_duplex g x y ~capacity:10.0e6 ~prop_delay:0.001)
+    [ ("s", "b"); ("b", "d"); ("s", "a"); ("a", "d") ];
+  g
+
+let raises_invalid f =
+  try
+    ignore (f ());
+    false
+  with Invalid_argument _ -> true
+
+let test_params_assign_rejects_other_layout () =
+  (* Fractions live by slot: copying s's 0.9/0.1 split via a/b into a
+     table whose slots list b first would swap it. *)
+  let p = Params.create (diamond ()) in
+  let q = Params.create (diamond_reordered ()) in
+  Params.set_fractions p ~node:0 ~dst:3 [ (1, 0.9); (2, 0.1) ];
+  check "raises" true (raises_invalid (fun () -> Params.assign q ~from_:p));
+  check "target untouched" false (Params.is_routed q ~node:0 ~dst:3);
+  (* Same layout from a separately built topology is fine. *)
+  let r = Params.create (diamond ()) in
+  Params.assign r ~from_:p;
+  check_float "copied via a" 0.9 (Params.fraction r ~node:0 ~dst:3 ~via:1)
+
+let test_evaluate_rejects_other_layout () =
+  let _g, p = diamond_split () in
+  let traffic = Traffic.of_flows ~n:4 [ { src = 0; dst = 3; rate = 100.0 } ] in
+  let fl = Flows.compute p traffic in
+  let other = Evaluate.model (diamond_reordered ()) ~packet_size:1000.0 in
+  check "total_cost" true (raises_invalid (fun () -> Evaluate.total_cost other fl));
+  check "link_costs" true (raises_invalid (fun () -> Evaluate.link_costs other fl));
+  check "marginal_distances" true
+    (raises_invalid (fun () -> Evaluate.marginal_distances other p fl ~dst:3));
+  check "per_flow_delays" true
+    (raises_invalid (fun () -> Evaluate.per_flow_delays other p fl traffic));
+  let same = Evaluate.model (diamond ()) ~packet_size:1000.0 in
+  check "same layout accepted" true (Evaluate.total_cost same fl > 0.0)
+
+let test_flows_reject_other_layout () =
+  let _g, p = diamond_split () in
+  let traffic = Traffic.of_flows ~n:4 [ { src = 0; dst = 3; rate = 100.0 } ] in
+  let q = Params.create (diamond_reordered ()) in
+  Params.set_single q ~node:0 ~dst:3 ~via:1;
+  Params.set_single q ~node:1 ~dst:3 ~via:3;
+  let fl = Flows.compute q traffic in
+  check "compute into" true (raises_invalid (fun () -> Flows.compute ~into:fl p traffic));
+  check "max_utilization" true
+    (raises_invalid (fun () -> Flows.max_utilization p fl ~packet_size:1000.0));
+  (* Reusing a buffer of the same layout gives the fresh result. *)
+  let fresh = Flows.compute p traffic in
+  let reused = Flows.compute ~into:(Flows.compute p Traffic.(empty ~n:4)) p traffic in
+  check "into = fresh" true
+    (fresh.link_flows = reused.link_flows && fresh.node_flows = reused.node_flows)
+
+(* --- Equivalence with the list-and-hashtable formulation ------------- *)
+
+(* The fluid core as it was written before edges got ids: successor
+   lists, (src, dst)-keyed hashtables and per-call lookups. Kept as the
+   oracle the edge-indexed code must match bit for bit. *)
+module Reference = struct
+  let topological_order params ~dst =
+    let n = Graph.node_count (Params.topology params) in
+    let indegree = Array.make n 0 in
+    let succs = Array.init n (fun node -> Params.successors params ~node ~dst) in
+    Array.iter (List.iter (fun k -> indegree.(k) <- indegree.(k) + 1)) succs;
+    let ready = Queue.create () in
+    for node = 0 to n - 1 do
+      if indegree.(node) = 0 then Queue.add node ready
+    done;
+    let order = ref [] and emitted = ref 0 in
+    while not (Queue.is_empty ready) do
+      let node = Queue.pop ready in
+      order := node :: !order;
+      incr emitted;
+      List.iter
+        (fun k ->
+          indegree.(k) <- indegree.(k) - 1;
+          if indegree.(k) = 0 then Queue.add k ready)
+        succs.(node)
+    done;
+    if !emitted <> n then raise (Flows.Cyclic_routing dst);
+    List.rev !order
+
+  let add table key amount =
+    let current = try Hashtbl.find table key with Not_found -> 0.0 in
+    Hashtbl.replace table key (current +. amount)
+
+  let solve_exact params traffic node_flows link_flows ~dst =
+    List.iter
+      (fun node ->
+        if node <> dst then begin
+          let t_node = node_flows.(node).(dst) +. Traffic.rate traffic ~src:node ~dst in
+          node_flows.(node).(dst) <- t_node;
+          if t_node > 0.0 then
+            List.iter
+              (fun (via, frac) ->
+                let share = t_node *. frac in
+                node_flows.(via).(dst) <-
+                  node_flows.(via).(dst) +. (if via = dst then 0.0 else share);
+                add link_flows (node, via) share)
+              (Params.fractions params ~node ~dst)
+        end)
+      (topological_order params ~dst)
+
+  let solve_iterative params traffic node_flows link_flows ~dst =
+    let n = Array.length node_flows in
+    let t_cur = Array.make n 0.0 and t_next = Array.make n 0.0 in
+    let rec iterate iter =
+      for i = 0 to n - 1 do
+        t_next.(i) <- (if i = dst then 0.0 else Traffic.rate traffic ~src:i ~dst)
+      done;
+      for k = 0 to n - 1 do
+        if k <> dst && t_cur.(k) > 0.0 then
+          List.iter
+            (fun (via, frac) ->
+              if via <> dst then t_next.(via) <- t_next.(via) +. (t_cur.(k) *. frac))
+            (Params.fractions params ~node:k ~dst)
+      done;
+      let delta = ref 0.0 in
+      for i = 0 to n - 1 do
+        delta := Float.max !delta (Float.abs (t_next.(i) -. t_cur.(i)));
+        t_cur.(i) <- t_next.(i)
+      done;
+      if !delta > 1e-9 && iter < 10_000 then iterate (iter + 1)
+    in
+    iterate 0;
+    for node = 0 to n - 1 do
+      if node <> dst then begin
+        node_flows.(node).(dst) <- t_cur.(node);
+        if t_cur.(node) > 0.0 then
+          List.iter
+            (fun (via, frac) -> add link_flows (node, via) (t_cur.(node) *. frac))
+            (Params.fractions params ~node ~dst)
+      end
+    done
+
+  let compute params traffic =
+    let n = Traffic.node_count traffic in
+    let node_flows = Array.make_matrix n n 0.0 in
+    let link_flows = Hashtbl.create 64 in
+    List.iter
+      (fun dst ->
+        try solve_exact params traffic node_flows link_flows ~dst
+        with Flows.Cyclic_routing _ ->
+          for i = 0 to n - 1 do
+            node_flows.(i).(dst) <- 0.0
+          done;
+          solve_iterative params traffic node_flows link_flows ~dst)
+      (Traffic.destinations traffic);
+    (node_flows, link_flows)
+
+  let flow link_flows ~src ~dst = try Hashtbl.find link_flows (src, dst) with Not_found -> 0.0
+
+  let total_cost model topo link_flows =
+    Graph.fold_links topo ~init:0.0 ~f:(fun acc l ->
+        let f = flow link_flows ~src:l.src ~dst:l.dst in
+        if f <= 0.0 then acc
+        else acc +. Delay.cost (Evaluate.delay_of_link model ~src:l.src ~dst:l.dst) f)
+
+  let marginal_distances model params link_flows ~dst =
+    let n = Graph.node_count (Params.topology params) in
+    let values = Array.make n infinity in
+    values.(dst) <- 0.0;
+    List.iter
+      (fun node ->
+        if node <> dst then
+          match Params.fractions params ~node ~dst with
+          | [] -> ()
+          | fracs ->
+            values.(node) <-
+              List.fold_left
+                (fun acc (via, frac) ->
+                  let f = flow link_flows ~src:node ~dst:via in
+                  let l = Delay.marginal (Evaluate.delay_of_link model ~src:node ~dst:via) f in
+                  acc +. (frac *. (l +. values.(via))))
+                0.0 fracs)
+      (List.rev (topological_order params ~dst));
+    values
+end
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* A random BA network, random flows, and for every destination random
+   splits over the neighbours closer in hops (so SG_dst is acyclic);
+   with [cyclic], one destination also gets a 2-cycle between two
+   routers that forces the iterative fallback. *)
+let random_case ~cyclic seed =
+  let rng = Mdr_util.Rng.create ~seed in
+  let n = 5 + Mdr_util.Rng.int rng ~bound:20 in
+  let g = Mdr_topology.Generators.barabasi_albert ~rng ~n ~m:2 () in
+  let p = Params.create g in
+  let hops dst =
+    let d = Array.make n max_int and queue = Queue.create () in
+    d.(dst) <- 0;
+    Queue.add dst queue;
+    while not (Queue.is_empty queue) do
+      let u = Queue.pop queue in
+      List.iter
+        (fun v ->
+          if d.(v) = max_int then begin
+            d.(v) <- d.(u) + 1;
+            Queue.add v queue
+          end)
+        (Graph.neighbors g u)
+    done;
+    d
+  in
+  (* A random distribution over a non-empty subset of [candidates]. *)
+  let split candidates =
+    let weighted =
+      List.filter_map
+        (fun k ->
+          let w = Mdr_util.Rng.float rng in
+          if w > 0.3 then Some (k, w) else None)
+        candidates
+    in
+    let weighted = if weighted = [] then [ (List.hd candidates, 1.0) ] else weighted in
+    let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 weighted in
+    List.map (fun (k, w) -> (k, w /. total)) weighted
+  in
+  for dst = 0 to n - 1 do
+    let d = hops dst in
+    for node = 0 to n - 1 do
+      if node <> dst then
+        Params.set_fractions p ~node ~dst
+          (split (List.filter (fun k -> d.(k) < d.(node)) (Graph.neighbors g node)))
+    done
+  done;
+  (if cyclic then
+     (* Routers a and b, neighbours that are not the destination and
+        with b no closer than a (so b never routes to a), each send 30%
+        to the other: a <-> b. *)
+     let dst = 0 in
+     let d = hops dst in
+     match
+       List.find_opt
+         (fun (l : Graph.link) -> l.src <> dst && l.dst <> dst && d.(l.dst) >= d.(l.src))
+         (Graph.links g)
+     with
+     | None -> ()
+     | Some l ->
+       let a = l.src and b = l.dst in
+       let mix node back =
+         (back, 0.3) :: List.map (fun (k, f) -> (k, 0.7 *. f)) (Params.fractions p ~node ~dst)
+       in
+       Params.set_fractions p ~node:a ~dst (mix a b);
+       Params.set_fractions p ~node:b ~dst (mix b a));
+  let flows =
+    List.init (2 * n) (fun _ ->
+        let src = Mdr_util.Rng.int rng ~bound:n in
+        let dst = (src + 1 + Mdr_util.Rng.int rng ~bound:(n - 1)) mod n in
+        { Traffic.src; dst; rate = Mdr_util.Rng.uniform rng ~lo:10.0 ~hi:400.0 })
+  in
+  (g, p, Traffic.of_flows ~n flows)
+
+let matches_reference ~cyclic seed =
+  let g, p, traffic = random_case ~cyclic seed in
+  let n = Graph.node_count g in
+  let model = Evaluate.model g ~packet_size:4096.0 in
+  let fl = Flows.compute ~iterative_fallback:true p traffic in
+  let ref_nodes, ref_links = Reference.compute p traffic in
+  let nodes_ok =
+    Array.for_all2 (Array.for_all2 same_bits) fl.node_flows ref_nodes
+  in
+  let links_ok =
+    List.for_all
+      (fun (l : Graph.link) ->
+        same_bits (Flows.link_flow fl ~src:l.src ~dst:l.dst)
+          (Reference.flow ref_links ~src:l.src ~dst:l.dst))
+      (Graph.links g)
+  in
+  let cost_ok =
+    same_bits (Evaluate.total_cost model fl) (Reference.total_cost model g ref_links)
+  in
+  let distances_ok =
+    List.for_all
+      (fun dst ->
+        match Reference.marginal_distances model p ref_links ~dst with
+        | expected ->
+          Array.for_all2 same_bits expected (Evaluate.marginal_distances model p fl ~dst)
+        | exception Flows.Cyclic_routing _ ->
+          raises_invalid (fun () -> Evaluate.marginal_distances model p fl ~dst))
+      (List.init n Fun.id)
+  in
+  nodes_ok && links_ok && cost_ok && distances_ok
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"edge-indexed flows and distances match the reference bit for bit"
+    ~count:100 QCheck.small_nat (matches_reference ~cyclic:false)
+
+let prop_fallback_matches_reference =
+  QCheck.Test.make ~name:"iterative fallback matches the reference bit for bit" ~count:50
+    QCheck.small_nat (matches_reference ~cyclic:true)
+
 let suite =
   [
     Alcotest.test_case "delay: zero flow" `Quick test_delay_zero_flow;
@@ -426,6 +726,13 @@ let suite =
     Alcotest.test_case "params: clear and copy" `Quick test_params_clear_and_copy;
     Alcotest.test_case "params: assign" `Quick test_params_assign;
     Alcotest.test_case "params: cycle detection" `Quick test_params_acyclic_detects_loop;
+    Alcotest.test_case "params: assign rejects another edge layout" `Quick
+      test_params_assign_rejects_other_layout;
+    Alcotest.test_case "evaluate: rejects another edge layout" `Quick
+      test_evaluate_rejects_other_layout;
+    Alcotest.test_case "flows: reject another edge layout" `Quick test_flows_reject_other_layout;
+    QCheck_alcotest.to_alcotest prop_matches_reference;
+    QCheck_alcotest.to_alcotest prop_fallback_matches_reference;
     Alcotest.test_case "flows: 50/50 split" `Quick test_flows_split;
     Alcotest.test_case "flows: conservation" `Quick test_flows_conservation;
     Alcotest.test_case "flows: transit traffic" `Quick test_flows_transit_traffic;

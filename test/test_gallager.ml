@@ -306,6 +306,75 @@ let test_degradation_on_jointly_infeasible_matrix () =
   check "delay finite" true (Float.is_finite r.Gallager.avg_delay);
   check "costs finite" true (Fluid.Evaluate.costs_finite model r.Gallager.flows)
 
+(* --- golden digests ---------------------------------------------------- *)
+
+(* The solver inputs the golden digests pin: CAIRN with its paper flows
+   at load 1.0, and a BA-20 network of identical links (so equal-cost
+   paths exist for ECMP) with 30 fixed random flows. *)
+let golden_inputs () =
+  let cairn =
+    let g = Mdr_topology.Cairn.topology () in
+    let traffic =
+      Fluid.Traffic.of_pairs_bits ~n:(Graph.node_count g) ~packet_size:pkt
+        ~rate_bits:(fun i -> (2.0 +. (0.1 *. float_of_int i)) *. 1.0e6)
+        (Mdr_topology.Cairn.flow_pairs g)
+    in
+    ("CAIRN", g, traffic)
+  in
+  let ba20 =
+    let rng = Mdr_util.Rng.create ~seed:20 in
+    let g =
+      Mdr_topology.Generators.barabasi_albert ~rng ~n:20 ~m:2
+        ~capacity_range:(10.0e6, 10.0e6) ~delay_range:(0.005, 0.005) ()
+    in
+    let flows =
+      List.init 30 (fun _ ->
+          let src = Mdr_util.Rng.int rng ~bound:20 in
+          let dst = (src + 1 + Mdr_util.Rng.int rng ~bound:19) mod 20 in
+          { Fluid.Traffic.src; dst; rate = Mdr_util.Rng.uniform rng ~lo:0.3e6 ~hi:1.0e6 /. pkt })
+    in
+    ("BA-20", g, Fluid.Traffic.of_flows ~n:20 flows)
+  in
+  [ cairn; ba20 ]
+
+(* MD5 over the [%h] (exact hex) image of a result's numbers, so a
+   digest moves with any reordered float sum. *)
+let golden_digest ~total_cost ~iterations ~delays =
+  let b = Buffer.create 1024 in
+  Printf.bprintf b "%h|%d|" total_cost iterations;
+  List.iter (fun (_, d) -> Printf.bprintf b "%h;" d) delays;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Digests recorded with the hashtable-keyed fluid core that the
+   edge-indexed arrays replaced. *)
+let gallager_golden =
+  [
+    ( "adaptive",
+      (fun m g t -> Gallager.solve m g t),
+      [ ("CAIRN", "614b6c4dbbc36b11a428806c29bfcdf8"); ("BA-20", "33454a77873e84a6f0c96fe984366e18") ] );
+    ( "fixed eta",
+      (fun m g t -> Gallager.solve ~adaptive:false ~eta:2.0e3 ~max_iters:150 m g t),
+      [ ("CAIRN", "978b6fa34ea3e08ee473d642c4834313"); ("BA-20", "bdb950662177c2e5b94a04bf8339bc43") ] );
+    ( "second order",
+      (fun m g t -> Gallager.solve ~second_order:true ~eta:1.0 m g t),
+      [ ("CAIRN", "92da9666fb7df6cec51c95836491d8ce"); ("BA-20", "4526916e7d3d18d296c36151560cec58") ] );
+  ]
+
+let test_golden_digests () =
+  List.iter
+    (fun (name, g, traffic) ->
+      let model = Fluid.Evaluate.model g ~packet_size:pkt in
+      List.iter
+        (fun (variant, solve, digests) ->
+          let r = solve model g traffic in
+          let delays = Fluid.Evaluate.per_flow_delays model r.Gallager.params r.flows traffic in
+          let got =
+            golden_digest ~total_cost:r.total_cost ~iterations:r.iterations ~delays
+          in
+          Alcotest.(check string) (variant ^ " on " ^ name) (List.assoc name digests) got)
+        gallager_golden)
+    (golden_inputs ())
+
 let suite =
   [
     Alcotest.test_case "spf_params: routes every pair" `Quick test_spf_params_route_everything;
@@ -327,4 +396,5 @@ let suite =
     Alcotest.test_case "degrade: sheds infeasible demand" `Quick test_degrades_infeasible_demand;
     Alcotest.test_case "degrade: opt-out stays finite" `Quick test_degrade_opt_out_stays_finite;
     Alcotest.test_case "degrade: jointly infeasible matrix" `Slow test_degradation_on_jointly_infeasible_matrix;
+    Alcotest.test_case "golden digests are byte-identical" `Quick test_golden_digests;
   ]
